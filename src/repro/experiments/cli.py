@@ -40,7 +40,7 @@ run (worker processes would record into their own tracers), so
 from __future__ import annotations
 
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.experiments.registry import EXPERIMENTS, RUNNERS
 
@@ -68,7 +68,11 @@ def usage() -> str:
 
 
 def _parse_options(rest: Sequence[str]) -> Dict[str, object]:
-    """Extract the sweep options from a raw argv tail."""
+    """Extract the sweep options from a raw argv tail.
+
+    Raises ``ValueError`` when a numeric flag has no value or a value
+    that does not parse.
+    """
     args = list(rest)
     opts: Dict[str, object] = {
         "scale": None,
@@ -90,18 +94,20 @@ def _parse_options(rest: Sequence[str]) -> Dict[str, object]:
                 return args[idx + 1]
         return None
 
-    scale = value_of("--scale")
-    if scale is not None:
-        opts["scale"] = float(scale)
-    jobs = value_of("--jobs")
-    if jobs is not None:
-        opts["jobs"] = int(jobs)
+    def number_of(flag: str, cast: Callable[[str], object]) -> object:
+        if flag not in args:
+            return None
+        try:
+            return cast(args[args.index(flag) + 1])
+        except (IndexError, ValueError):
+            raise ValueError(f"{flag} needs a numeric value") from None
+
+    opts["scale"] = number_of("--scale", float)
+    opts["jobs"] = number_of("--jobs", int)
+    opts["trace_limit"] = number_of("--trace-limit", int)
     opts["cache_dir"] = value_of("--cache-dir")
     opts["no_cache"] = "--no-cache" in args
     opts["trace_out"] = value_of("--trace-out")
-    limit = value_of("--trace-limit")
-    if limit is not None:
-        opts["trace_limit"] = int(limit)
     opts["faults"] = value_of("--faults")
     opts["report"] = value_of("--report")
     # Pointing at an output file or capping events implies tracing.
@@ -259,7 +265,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     name = args[0]
     rest = args[1:]
-    opts = _parse_options(rest)
+    try:
+        opts = _parse_options(rest)
+    except ValueError as exc:
+        print(f"{exc}\n{usage()}", file=sys.stderr)
+        return 2
     if opts["jobs"] is not None and opts["jobs"] < 1:
         print(f"--jobs must be >= 1, got {opts['jobs']}", file=sys.stderr)
         return 2

@@ -182,3 +182,11 @@ def test_fill_overflow_counter_merges():
     b.fill([5, 6, 7, 8])
     merged = a.stats.merge(b.stats)
     assert merged.fill_overflow_blocks == 3
+
+
+def test_fill_access_cycle_stays_full():
+    cache = BlockCache(1024)
+    for base in range(0, 32_000, 32):
+        cache.fill(range(base, base + 32))
+        cache.access(range(base, base + 4))
+    assert len(cache) == 1024

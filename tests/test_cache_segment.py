@@ -175,3 +175,11 @@ def test_duplicate_fill_is_idempotent(cache):
 def test_len_counts_blocks(cache):
     cache.fill([0, 1, 2], stream_hint=0)
     assert len(cache) == 3
+
+
+def test_fill_access_cycle_uses_every_segment():
+    cache = SegmentCache(27, 32)
+    for i, base in enumerate(range(0, 32_000, 32)):
+        cache.fill(list(range(base, base + 32)), stream_hint=i % 128)
+        cache.access(range(base, base + 4))
+    assert cache.segments_in_use == 27

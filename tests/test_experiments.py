@@ -174,6 +174,24 @@ class TestRegistryAndCli:
         assert cli_main(["table1"]) == 0
         assert "Number of disks" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scale", "abc"],
+            ["--scale"],
+            ["--jobs"],
+            ["--jobs", "two"],
+            ["--trace-limit"],
+            ["--trace-limit", "1e3"],
+            ["--scale", "--chart"],
+        ],
+    )
+    def test_cli_rejects_missing_or_non_numeric_values(self, flags, capsys):
+        assert cli_main(["validation", *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} needs a numeric value" in err
+        assert "usage: repro-exp" in err
+
     def test_cli_runs_validation(self, capsys):
         assert cli_main(["validation", "--scale", "0.2"]) == 0
         assert "error_frac" in capsys.readouterr().out

@@ -89,6 +89,13 @@ class TestReplayDriver:
         assert elapsed > 0
         assert driver.finish_time == system.sim.now
 
+    def test_replays_every_sequential_record(self, small_config):
+        system = System(small_config)
+        records = [DiskAccess([((i * 8) % 12_000, 4)]) for i in range(400)]
+        driver = ReplayDriver(system, make_trace(records, n_streams=8))
+        driver.run()
+        assert driver.records_completed == 400
+
     def test_second_run_raises_instead_of_hanging(self, small_config):
         """Regression: a completed driver's second ``run()`` starts no
         stream (the source is exhausted), so nothing ever calls

@@ -47,6 +47,14 @@ class TestBitmap:
         bitmap.set_many(range(1, 16))
         assert bitmap.run_length_from(0, limit=4) == 4
 
+    def test_run_length_scan_over_a_large_bitmap(self):
+        bitmap = SequentialityBitmap(1_000_000)
+        bitmap.set_many(range(1, 1_000_000, 2))
+        total = sum(
+            bitmap.run_length_from(start, 32) for start in range(0, 1_000_000, 1000)
+        )
+        assert total > 0
+
     def test_run_length_clamps_at_end(self):
         bitmap = SequentialityBitmap(8)
         bitmap.set_many(range(1, 8))

@@ -146,6 +146,18 @@ class TestSimulator:
         sim.run()
         assert sim.events_fired == 5
 
+    def test_hundred_chains_fire_every_event(self):
+        sim = Simulator()
+
+        def chain(n):
+            if n:
+                sim.schedule(0.1, chain, n - 1)
+
+        for _ in range(100):
+            sim.schedule(0.0, chain, 100)
+        sim.run()
+        assert sim.events_fired == 100 * 101
+
     def test_chained_scheduling(self):
         sim = Simulator()
         ticks = []

@@ -33,6 +33,10 @@ class TestZipf:
         steep = ZipfSampler(1000, 1.0, rng=np.random.default_rng(0)).sample(20_000)
         assert (steep == 0).sum() > (flat == 0).sum()
 
+    def test_large_draw_has_requested_length(self):
+        sampler = ZipfSampler(100_000, 0.7, rng=np.random.default_rng(0))
+        assert len(sampler.sample(200_000)) == 200_000
+
     def test_probability_sums_to_one(self):
         sampler = ZipfSampler(50, 0.7)
         total = sum(sampler.probability(i) for i in range(50))
