@@ -9,7 +9,7 @@ The package splits into a *surface* and *implementations*:
 * implementations — :mod:`repro.devices.hdd` (the paper's mechanical
   36Z15 path, byte-identical to the pre-refactor math) and
   :mod:`repro.devices.flash` (flat-latency multi-channel SSD/NVMe).
-  Importing this package registers both.
+  The registry's literal ``DEVICE_MODELS`` table names both.
 
 Slots are described by named :class:`~repro.config.DeviceSpec` presets
 (``ultrastar_36z15``, ``generic_ssd``, ``generic_nvme``) carried on
@@ -19,11 +19,7 @@ Slots are described by named :class:`~repro.config.DeviceSpec` presets
 from repro.devices.base import DeviceGeometry, DeviceModel, ServiceBreakdown
 from repro.devices.flash import FlashServiceModel, FlatGeometry
 from repro.devices.hdd import HddDeviceModel
-from repro.devices.registry import (
-    DEVICE_MODELS,
-    make_device_model,
-    register_device,
-)
+from repro.devices.registry import DEVICE_MODELS, make_device_model
 
 __all__ = [
     "DEVICE_MODELS",
@@ -34,5 +30,4 @@ __all__ = [
     "HddDeviceModel",
     "ServiceBreakdown",
     "make_device_model",
-    "register_device",
 ]

@@ -13,19 +13,17 @@ cylinder, so seek distances are 0 and cylinder-sorting schedulers
 (LOOK/SSTF/CSCAN) degrade gracefully to their tie-break order — FIFO —
 without special-casing.
 
-The model is deterministic (no sampled phases); it accepts the slot's
-RNG stream for registry uniformity and never draws from it.
+The model is deterministic (no sampled phases): its builder in
+:mod:`repro.devices.registry` receives the slot's RNG stream like
+every builder and ignores it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.config import DeviceKind, DeviceSpec, SsdParams
-from repro.devices.registry import register_device
-from repro.errors import AddressError, ConfigError
+from repro.config import DeviceKind, SsdParams
+from repro.errors import AddressError
 from repro.mechanics.service import ServiceBreakdown
 
 __all__ = ["FlatGeometry", "FlashServiceModel"]
@@ -120,14 +118,3 @@ class FlashServiceModel:
             + self._transfer_ms(n_blocks)
         )
 
-
-@register_device(DeviceKind.SSD)
-def _build_ssd(
-    spec: DeviceSpec,
-    block_size: int,
-    rng: Optional[np.random.Generator],
-    deterministic_rotation: bool,
-) -> FlashServiceModel:
-    if spec.ssd is None:
-        raise ConfigError(f"device {spec.name!r} has no flash params")
-    return FlashServiceModel(spec.ssd, block_size)

@@ -4,19 +4,13 @@
 ServiceTimeModel` — subclassing rather than delegating means the
 refactor routes the all-HDD configurations through literally the same
 code and the same RNG draw order, keeping every committed golden
-byte-identical — plus the registry contract: a :attr:`kind` tag and a
+byte-identical — plus the device-model contract: a :attr:`kind` tag and a
 single-channel declaration (one arm, one operation at a time).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from repro.config import DeviceKind, DeviceSpec
-from repro.devices.registry import register_device
-from repro.errors import ConfigError
+from repro.config import DeviceKind
 from repro.mechanics.service import ServiceTimeModel
 
 __all__ = ["HddDeviceModel"]
@@ -29,19 +23,3 @@ class HddDeviceModel(ServiceTimeModel):
     #: A single arm services one media operation at a time.
     channels = 1
 
-
-@register_device(DeviceKind.HDD)
-def _build_hdd(
-    spec: DeviceSpec,
-    block_size: int,
-    rng: Optional[np.random.Generator],
-    deterministic_rotation: bool,
-) -> HddDeviceModel:
-    if spec.hdd is None:
-        raise ConfigError(f"device {spec.name!r} has no mechanical params")
-    return HddDeviceModel(
-        spec.hdd,
-        block_size,
-        rng=rng,
-        deterministic_rotation=deterministic_rotation,
-    )

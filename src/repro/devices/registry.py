@@ -1,7 +1,7 @@
 """Device-model registry: :class:`DeviceKind` → model builder.
 
-Mirrors the controller's policy registry (:mod:`repro.registry`):
-concrete device models self-register at import time and the host layer
+Mirrors the controller's policy registry (:mod:`repro.registry`): one
+literal table maps each device kind to a builder, and the host layer
 constructs per-slot models through :func:`make_device_model` without
 naming any concrete class. This file plus :mod:`repro.devices.base` is
 the whole surface ``disk/`` and ``array/`` are allowed to see.
@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.config import DeviceKind, DeviceSpec
 from repro.devices.base import DeviceModel
+from repro.devices.flash import FlashServiceModel
+from repro.devices.hdd import HddDeviceModel
 from repro.errors import ConfigError
 
 #: Builder: ``(spec, block_size, rng, deterministic_rotation) -> model``.
@@ -22,19 +24,38 @@ DeviceBuilder = Callable[
     [DeviceSpec, int, Optional[np.random.Generator], bool], DeviceModel
 ]
 
-DEVICE_MODELS: Dict[DeviceKind, DeviceBuilder] = {}
+
+def _build_hdd(
+    spec: DeviceSpec,
+    block_size: int,
+    rng: Optional[np.random.Generator],
+    deterministic_rotation: bool,
+) -> DeviceModel:
+    if spec.hdd is None:
+        raise ConfigError(f"device {spec.name!r} has no mechanical params")
+    return HddDeviceModel(
+        spec.hdd,
+        block_size,
+        rng=rng,
+        deterministic_rotation=deterministic_rotation,
+    )
 
 
-def register_device(kind: DeviceKind) -> Callable[[DeviceBuilder], DeviceBuilder]:
-    """Class/function decorator registering a device-model builder."""
+def _build_ssd(
+    spec: DeviceSpec,
+    block_size: int,
+    rng: Optional[np.random.Generator],
+    deterministic_rotation: bool,
+) -> DeviceModel:
+    if spec.ssd is None:
+        raise ConfigError(f"device {spec.name!r} has no flash params")
+    return FlashServiceModel(spec.ssd, block_size)
 
-    def deco(builder: DeviceBuilder) -> DeviceBuilder:
-        if kind in DEVICE_MODELS:
-            raise ConfigError(f"device kind {kind.value!r} registered twice")
-        DEVICE_MODELS[kind] = builder
-        return builder
 
-    return deco
+DEVICE_MODELS: Dict[DeviceKind, DeviceBuilder] = {
+    DeviceKind.HDD: _build_hdd,
+    DeviceKind.SSD: _build_ssd,
+}
 
 
 def make_device_model(

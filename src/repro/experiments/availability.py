@@ -112,13 +112,3 @@ def run(
             f"degraded={faults.degraded_reads if faults else 0}",
         )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,7 +1,9 @@
 """Shared experiment plumbing: series containers and sweep helpers.
 
 Every experiment driver exposes ``run(scale=..., seed=...) ->
-SeriesResult`` plus a ``main()`` that prints the paper-style table.
+SeriesResult``; the CLI reaches it through
+:data:`repro.experiments.registry.EXPERIMENTS` and prints the result's
+paper-style :meth:`SeriesResult.to_text` table.
 ``scale`` shrinks workload sizes (request counts, file counts, cache
 footprints) proportionally so the same driver powers full CLI runs,
 fast benchmarks and CI tests.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.metrics.report import format_table
 
@@ -130,14 +132,3 @@ def log(verbose: bool, message: str) -> None:
     if verbose:
         print(message, file=sys.stderr, flush=True)
 
-
-def parse_scale(argv: Optional[Sequence[str]], default: float) -> float:
-    """Tiny ``--scale X`` argv parser shared by experiment ``main()``s."""
-    if not argv:
-        return default
-    args = list(argv)
-    if "--scale" in args:
-        idx = args.index("--scale")
-        if idx + 1 < len(args):
-            return float(args[idx + 1])
-    return default

@@ -2,12 +2,15 @@
 
 Also reachable as ``python -m repro <experiment>``. With ``all``, every
 experiment runs in sequence (slow at full scale; pass ``--scale``).
-``--chart`` appends an ASCII rendering of the series, so curve shapes
-can be eyeballed without a plotting stack. ``--report PATH`` writes a
-:func:`repro.perfkit.report.series_report` markdown page for the run —
-series table, sparklines, and the experiment's analysis section (knee
-tables for ``scale_sweep``/``hybrid_array``) — alongside the normal
-stdout tables.
+Every run prints through one path, whatever the flags: the series
+table, then the experiment's analysis section when its
+:data:`~repro.experiments.registry.EXPERIMENTS` entry has one (knee
+tables for ``scale_sweep``/``hybrid_array``, a technique ranking for
+``trace_replay``). ``--chart`` appends an ASCII rendering of the
+series, so curve shapes can be eyeballed without a plotting stack.
+``--report PATH`` writes a :func:`repro.perfkit.report.series_report`
+markdown page for the run — series table, sparklines and the same
+analysis section.
 
 Parallel sweeps: ``--jobs N`` fans the experiment's independent cells
 over N worker processes and ``--cache-dir``/``--no-cache`` control the
@@ -39,119 +42,93 @@ run (worker processes would record into their own tracers), so
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from contextlib import nullcontext
+from typing import Optional, Sequence
 
-from repro.experiments.registry import EXPERIMENTS, RUNNERS
+from repro.experiments.base import SeriesResult
+from repro.experiments.registry import EXPERIMENTS
+from repro.faults.profile import PROFILES, fault_profile, get_profile
 
 #: Default on-disk location of the result cache for parallel runs.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
+EXAMPLES = """\
+example: repro-exp fig03 --scale 0.2 --chart
+example: repro-exp fig07 --jobs 4          # parallel + cached
+example: repro-exp fig07 --jobs 4 --no-cache
+example: repro-exp availability --faults heavy --scale 0.2
+example: repro-exp fig07 --scale 0.05 --trace   # fig07.trace.json
+example: repro-exp scale_sweep --scale 0.02 --report sweep.md"""
 
-def usage() -> str:
-    """The help text."""
-    names = " ".join(sorted(EXPERIMENTS))
-    return (
-        "usage: repro-exp <experiment> [--scale X] [--chart]\n"
-        "                 [--jobs N] [--cache-dir DIR] [--no-cache]\n"
-        "                 [--faults PROFILE] [--report PATH]\n"
-        "                 [--trace] [--trace-out PATH] [--trace-limit N]\n"
-        f"experiments: {names} all\n"
-        "fault profiles: none light flaky heavy\n"
-        "example: repro-exp fig03 --scale 0.2 --chart\n"
-        "example: repro-exp fig07 --jobs 4          # parallel + cached\n"
-        "example: repro-exp fig07 --jobs 4 --no-cache\n"
-        "example: repro-exp availability --faults heavy --scale 0.2\n"
-        "example: repro-exp fig07 --scale 0.05 --trace   # fig07.trace.json\n"
-        "example: repro-exp scale_sweep --scale 0.02 --report sweep.md"
+
+def build_parser() -> argparse.ArgumentParser:
+    """The experiment CLI's argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="repro-exp",
+        description="Run one (or all) of the paper's experiments.",
+        epilog=f"experiments: {' '.join(sorted(EXPERIMENTS))} all\n{EXAMPLES}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
     )
-
-
-def _parse_options(rest: Sequence[str]) -> Dict[str, object]:
-    """Extract the sweep options from a raw argv tail.
-
-    Raises ``ValueError`` when a numeric flag has no value or a value
-    that does not parse.
-    """
-    args = list(rest)
-    opts: Dict[str, object] = {
-        "scale": None,
-        "jobs": None,
-        "cache_dir": None,
-        "no_cache": False,
-        "chart": "--chart" in args,
-        "trace": "--trace" in args,
-        "trace_out": None,
-        "trace_limit": None,
-        "faults": None,
-        "report": None,
-    }
-
-    def value_of(flag: str) -> Optional[str]:
-        if flag in args:
-            idx = args.index(flag)
-            if idx + 1 < len(args):
-                return args[idx + 1]
-        return None
-
-    def number_of(flag: str, cast: Callable[[str], object]) -> object:
-        if flag not in args:
-            return None
-        try:
-            return cast(args[args.index(flag) + 1])
-        except (IndexError, ValueError):
-            raise ValueError(f"{flag} needs a numeric value") from None
-
-    opts["scale"] = number_of("--scale", float)
-    opts["jobs"] = number_of("--jobs", int)
-    opts["trace_limit"] = number_of("--trace-limit", int)
-    opts["cache_dir"] = value_of("--cache-dir")
-    opts["no_cache"] = "--no-cache" in args
-    opts["trace_out"] = value_of("--trace-out")
-    opts["faults"] = value_of("--faults")
-    opts["report"] = value_of("--report")
-    # Pointing at an output file or capping events implies tracing.
-    if opts["trace_out"] is not None or opts["trace_limit"] is not None:
-        opts["trace"] = True
-    return opts
-
-
-def _strip_cli_flags(rest: Sequence[str]) -> list:
-    """Remove CLI-level options before an experiment's main sees argv."""
-    out = []
-    skip = False
-    for arg in rest:
-        if skip:
-            skip = False
-            continue
-        if arg == "--trace":
-            continue
-        if arg in ("--trace-out", "--trace-limit", "--faults", "--report"):
-            skip = True
-            continue
-        out.append(arg)
-    return out
-
-
-def _wants_parallel(opts: Dict[str, object]) -> bool:
-    return (
-        opts["jobs"] is not None
-        or opts["cache_dir"] is not None
-        or opts["no_cache"]
+    parser.add_argument("experiment", nargs="?", help="experiment id, or all")
+    parser.add_argument(
+        "--scale", type=float, metavar="X", help="workload scale factor"
     )
+    parser.add_argument(
+        "--chart", action="store_true", help="append an ASCII chart"
+    )
+    parser.add_argument(
+        "--jobs", type=int, metavar="N", help="parallel worker processes"
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help=f"result cache directory (default {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="run without the result cache"
+    )
+    parser.add_argument(
+        "--faults",
+        choices=list(PROFILES),
+        metavar="PROFILE",
+        help=f"fault profile: {' '.join(PROFILES)}",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", help="write a perfkit markdown report"
+    )
+    parser.add_argument(
+        "--trace", action="store_true", help="record and export a trace"
+    )
+    parser.add_argument(
+        "--trace-out", metavar="PATH", help="trace file (implies --trace)"
+    )
+    parser.add_argument(
+        "--trace-limit",
+        type=int,
+        metavar="N",
+        help="cap the traced event count (implies --trace)",
+    )
+    return parser
 
 
-def _write_report(result, path) -> None:
-    """Render the result as a perfkit markdown report at ``path``."""
-    from pathlib import Path
+def _run_serial(name: str, opts: argparse.Namespace) -> SeriesResult:
+    """Call the driver's ``run()`` in-process."""
+    run = EXPERIMENTS[name].run
+    kwargs: dict = {} if opts.scale is None else {"scale": opts.scale}
+    if "verbose" in inspect.signature(run).parameters:
+        kwargs["verbose"] = True  # progress lines on stderr
+    ctx = nullcontext() if opts.faults is None else fault_profile(
+        get_profile(opts.faults)
+    )
+    with ctx:
+        return run(**kwargs)
 
-    from repro.perfkit.report import series_report
 
-    Path(path).write_text(series_report(result), encoding="utf-8")
-    print(f"report -> {path}", file=sys.stderr)
-
-
-def _print_chart(result) -> None:
+def _print_chart(result: SeriesResult) -> None:
     from repro.errors import ReproError
     from repro.metrics.ascii_chart import render_series_result
 
@@ -162,67 +139,23 @@ def _print_chart(result) -> None:
         print(f"(no chart: {exc})")
 
 
-def _run_parallel(name: str, opts: Dict[str, object]) -> None:
-    """Run one experiment through the parallel sweep runner."""
-    from repro.experiments.parallel import sweep_experiment
+def _write_report(result: SeriesResult, path: str) -> None:
+    """Render the result as a perfkit markdown report at ``path``."""
+    from pathlib import Path
 
-    cache_dir = None
-    if not opts["no_cache"]:
-        cache_dir = opts["cache_dir"] or DEFAULT_CACHE_DIR
-    result, metrics = sweep_experiment(
-        name,
-        scale=opts["scale"],
-        jobs=opts["jobs"] or 1,
-        cache_dir=cache_dir,
-        faults=opts["faults"],
-    )
-    print(result.to_text())
-    if opts["chart"]:
-        _print_chart(result)
-    if opts["report"] is not None:
-        _write_report(result, opts["report"])
-    print(metrics.to_text(), file=sys.stderr)
+    from repro.perfkit.report import series_report
+
+    Path(path).write_text(series_report(result), encoding="utf-8")
+    print(f"report -> {path}", file=sys.stderr)
 
 
-def _run_with_result(name: str, opts: Dict[str, object]) -> None:
-    runner = RUNNERS[name]
-    kwargs = {}
-    if opts["scale"] is not None:
-        kwargs["scale"] = opts["scale"]
-    result = runner(**kwargs)
-    print(result.to_text())
-    if opts["chart"]:
-        _print_chart(result)
-    if opts["report"] is not None:
-        _write_report(result, opts["report"])
-
-
-def _dispatch(name: str, rest: Sequence[str], opts: Dict[str, object]) -> None:
-    if _wants_parallel(opts):
-        # Workers resolve and install the profile by name themselves.
-        _run_parallel(name, opts)
-        return
-    from contextlib import nullcontext
-
-    ctx = nullcontext()
-    if opts["faults"] is not None:
-        from repro.faults.profile import fault_profile, get_profile
-
-        ctx = fault_profile(get_profile(opts["faults"]))
-    with ctx:
-        if opts["chart"] or opts["report"] is not None:
-            _run_with_result(name, opts)
-        else:
-            EXPERIMENTS[name](_strip_cli_flags(rest))
-
-
-def _export_trace(tracer, name: str, opts: Dict[str, object]) -> None:
+def _export_trace(tracer, name: str, opts: argparse.Namespace) -> None:
     """Write the recorded trace and a stderr summary."""
     from repro.metrics.report import format_time_in_state
     from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.timeline import spans_time_in_state
 
-    path = opts["trace_out"] or f"{name}.trace.json"
+    path = opts.trace_out or f"{name}.trace.json"
     if str(path).endswith(".jsonl"):
         write_jsonl(tracer, path)
     else:
@@ -240,58 +173,83 @@ def _export_trace(tracer, name: str, opts: Dict[str, object]) -> None:
         print(format_time_in_state([states[d] for d in disks]), file=sys.stderr)
 
 
-def _dispatch_traced(name: str, rest: Sequence[str], opts: Dict[str, object]) -> None:
-    """Serial dispatch with a recording tracer installed for the run."""
-    from repro.obs.tracer import Tracer, tracing
+def _run(name: str, opts: argparse.Namespace) -> None:
+    """Run one experiment and print it: one path for every flag mix."""
+    parallel = (
+        opts.jobs is not None or opts.cache_dir is not None or opts.no_cache
+    )
+    tracer = None
+    ctx = nullcontext()
+    if opts.trace:
+        from repro.obs.tracer import Tracer, tracing
 
-    if _wants_parallel(opts):
-        print(
-            "--trace records in-process; ignoring --jobs/--cache-dir "
-            "and running serially",
-            file=sys.stderr,
-        )
-    tracer = Tracer(limit=opts["trace_limit"])
-    serial_opts = dict(opts, jobs=None, cache_dir=None, no_cache=False)
-    with tracing(tracer):
-        _dispatch(name, _strip_cli_flags(rest), serial_opts)
-    _export_trace(tracer, name, opts)
+        if parallel:
+            print(
+                "--trace records in-process; ignoring --jobs/--cache-dir "
+                "and running serially",
+                file=sys.stderr,
+            )
+            parallel = False
+        tracer = Tracer(limit=opts.trace_limit)
+        ctx = tracing(tracer)
+    metrics = None
+    with ctx:
+        if parallel:
+            from repro.experiments.parallel import sweep_experiment
+
+            cache_dir = None
+            if not opts.no_cache:
+                cache_dir = opts.cache_dir or DEFAULT_CACHE_DIR
+            # Workers resolve and install the fault profile by name.
+            result, metrics = sweep_experiment(
+                name,
+                scale=opts.scale,
+                jobs=opts.jobs or 1,
+                cache_dir=cache_dir,
+                faults=opts.faults,
+            )
+        else:
+            result = _run_serial(name, opts)
+    print(result.to_text())
+    analysis = EXPERIMENTS[name].analysis
+    if analysis is not None:
+        print()
+        print(analysis(result))
+    if opts.chart:
+        _print_chart(result)
+    if opts.report is not None:
+        _write_report(result, opts.report)
+    if metrics is not None:
+        print(metrics.to_text(), file=sys.stderr)
+    if tracer is not None:
+        _export_trace(tracer, name, opts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Dispatch to one (or all) experiment drivers."""
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(usage())
-        return 0
-    name = args[0]
-    rest = args[1:]
+    parser = build_parser()
     try:
-        opts = _parse_options(rest)
-    except ValueError as exc:
-        print(f"{exc}\n{usage()}", file=sys.stderr)
-        return 2
-    if opts["jobs"] is not None and opts["jobs"] < 1:
-        print(f"--jobs must be >= 1, got {opts['jobs']}", file=sys.stderr)
-        return 2
-    if opts["faults"] is not None:
-        from repro.errors import ConfigError
-        from repro.faults.profile import get_profile
-
-        try:
-            get_profile(opts["faults"])
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    dispatch = _dispatch_traced if opts["trace"] else _dispatch
+        opts = parser.parse_args(argv)
+        name = opts.experiment
+        if name is not None and name != "all" and name not in EXPERIMENTS:
+            parser.error(f"unknown experiment {name!r}")
+        if opts.jobs is not None and opts.jobs < 1:
+            parser.error(f"--jobs must be >= 1, got {opts.jobs}")
+    except SystemExit as exc:  # argparse exits 2 on errors, 0 on --help
+        return int(exc.code or 0)
+    if name is None:
+        parser.print_help()
+        return 0
+    # Pointing at an output file or capping events implies tracing.
+    opts.trace = opts.trace or opts.trace_out is not None or (
+        opts.trace_limit is not None
+    )
     if name == "all":
         for exp_name in sorted(EXPERIMENTS):
-            dispatch(exp_name, rest, opts)
+            _run(exp_name, opts)
             print()
         return 0
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}\n{usage()}", file=sys.stderr)
-        return 2
-    dispatch(name, rest, opts)
+    _run(name, opts)
     return 0
 
 

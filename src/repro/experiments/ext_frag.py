@@ -13,7 +13,7 @@ keeps fetching 128 KB of increasingly unrelated blocks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -70,13 +70,3 @@ def run(
         "§4: 'The FOR benefits increase with ... higher fragmentation'"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

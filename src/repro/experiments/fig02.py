@@ -11,7 +11,7 @@ only ~90 times — because the buffer cache absorbed the Zipf head.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,13 +65,3 @@ def run(scale: float = 0.05, seed: int = 1, ranks: Sequence[int] = RANKS) -> Ser
         value = float(zipf_counts[rank - 1]) if rank <= reference_n else 0.0
         result.add_point("zipf(0.43)", value)
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 0.05)).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,7 +10,7 @@ at alpha = 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -65,13 +65,3 @@ def run(
             log(verbose, f"fig05 a={alpha} {tech.label}: {res.io_time_s:.2f}s")
         result.add_point("hdc_hit_rate", hit_rate)
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,9 +6,9 @@ time 27-34% vs Segm across units; FOR+HDC reaches ~47%.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.base import SeriesResult, parse_scale
+from repro.experiments.base import SeriesResult
 from repro.experiments.servers import STRIPING_UNITS_KB, striping_sweep
 from repro.workloads.webserver import WebServerSpec, WebServerWorkload
 
@@ -34,11 +34,3 @@ def run(
         hdc_pin_fraction=scale,
         workload_key=("web", scale, seed),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    print(run(scale=parse_scale(argv, DEFAULT_SCALE), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

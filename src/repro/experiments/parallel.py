@@ -2,12 +2,12 @@
 
 Every figure/table in the paper is a sweep of independent
 (workload, technique, config) cells; the serial drivers replay them
-one after another in a single process. This module expands a registry
-entry into its cells (one per x-axis value, per
-:data:`repro.experiments.registry.SWEEPS`), dispatches them over a
-``multiprocessing`` pool, and merges the per-cell
-:class:`~repro.experiments.base.SeriesResult` slices back in registry
-order — so the merged result is byte-identical to the serial path's.
+one after another in a single process. This module expands an
+experiment-table entry into its cells (one per value of the entry's
+x axis, per :data:`repro.experiments.registry.EXPERIMENTS`),
+dispatches them over a ``multiprocessing`` pool, and merges the
+per-cell :class:`~repro.experiments.base.SeriesResult` slices back in
+axis order — so the merged result is byte-identical to the serial path's.
 
 Determinism: a cell is executed by calling the driver's ``run()`` with
 the same ``seed`` the serial path would use; every workload generator
@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.experiments.base import SeriesResult, merge_series_results
 from repro.experiments.cache import ResultCache, code_fingerprint
-from repro.experiments.registry import RUNNERS, SWEEPS
+from repro.experiments.registry import EXPERIMENTS
 from repro.metrics.sweepstats import SweepMetrics
 
 
@@ -109,16 +109,16 @@ def expand_cells(
     values: Optional[Sequence[object]] = None,
     faults: Optional[str] = None,
 ) -> List[Cell]:
-    """Expand one registry entry into its independent cells.
+    """Expand one experiment-table entry into its independent cells.
 
     ``values`` overrides the axis points (handy for smoke sweeps and
-    tests); experiments whose :class:`SweepSpec` declares no axis
-    expand to a single whole-run cell. ``faults`` names the profile to
-    install in every cell's process before running; ``"none"`` is
-    normalised to ``None`` so an explicit no-faults run shares cache
-    entries with runs that never passed the flag.
+    tests); experiments whose entry declares no axis expand to a single
+    whole-run cell. ``faults`` names the profile to install in every
+    cell's process before running; ``"none"`` is normalised to ``None``
+    so an explicit no-faults run shares cache entries with runs that
+    never passed the flag.
     """
-    if name not in RUNNERS:
+    if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
     if faults is not None:
         from repro.faults.profile import get_profile
@@ -126,15 +126,15 @@ def expand_cells(
         get_profile(faults)  # fail fast on unknown names
         if faults == "none":
             faults = None
-    spec = SWEEPS.get(name)
-    if spec is None or spec.axis is None:
+    experiment = EXPERIMENTS[name]
+    if experiment.axis is None:
         return [Cell(exp=name, index=0, scale=scale, seed=seed, faults=faults)]
-    points = list(values if values is not None else spec.values)
+    points = list(values if values is not None else experiment.values)
     return [
         Cell(
             exp=name,
             index=i,
-            axis=spec.axis,
+            axis=experiment.axis,
             value=value,
             scale=scale,
             seed=seed,
@@ -158,6 +158,7 @@ def run_cell(cell: Cell) -> Tuple[int, float, dict]:
     crosses the process boundary as a plain dict.
     """
     start = time.perf_counter()
+    run = EXPERIMENTS[cell.exp].run
     if cell.faults is not None:
         from repro.faults.profile import fault_profile, get_profile
 
@@ -165,9 +166,9 @@ def run_cell(cell: Cell) -> Tuple[int, float, dict]:
         # profile is installed whether the cell runs inline, in a
         # forked worker, or in a spawned one.
         with fault_profile(get_profile(cell.faults)):
-            result = RUNNERS[cell.exp](**cell.run_kwargs())
+            result = run(**cell.run_kwargs())
     else:
-        result = RUNNERS[cell.exp](**cell.run_kwargs())
+        result = run(**cell.run_kwargs())
     return cell.index, time.perf_counter() - start, result.to_dict()
 
 
@@ -177,7 +178,7 @@ class ParallelSweep:
     Parameters
     ----------
     name:
-        Registry id (``fig01`` … ``ext_frag``).
+        Experiment id (``fig01`` … ``hybrid_array``).
     scale, seed:
         Forwarded to every cell; ``None`` keeps driver defaults.
     jobs:

@@ -146,16 +146,3 @@ def knee_table(
     return header + "\n" + format_table(
         ["technique", "knee_clients", "p99_base_ms", "p99_max_ms"], rows
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    result = run(scale=parse_scale(argv, 1.0), verbose=True)
-    print(result.to_text())
-    print()
-    print(knee_table(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

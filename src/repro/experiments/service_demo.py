@@ -12,15 +12,15 @@ server-measured latency percentiles become the result table.
 Unlike the figure experiments, the numbers here depend on arrival
 interleaving between the asyncio thread and the engine thread, so this
 experiment is *not* golden-diffed and registers as an indivisible cell
-(``SweepSpec(None)``): it demonstrates and smoke-checks the serving
-stack rather than reproducing a paper figure.
+(no sweep axis in the experiment table): it demonstrates and
+smoke-checks the serving stack rather than reproducing a paper figure.
 """
 
 from __future__ import annotations
 
 import asyncio
 from math import inf
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.base import SeriesResult, log, scaled_count
 from repro.service.client import run_load
@@ -106,14 +106,3 @@ def run(
         "this experiment is never golden-diffed)"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    result = run(scale=parse_scale(argv, 1.0), verbose=True)
-    print(result.to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.config import ultrastar_36z15_config, ReadAheadKind
 from repro.experiments.base import SeriesResult
 
@@ -15,21 +13,9 @@ def run(scale: float = 1.0, seed: int = 1) -> SeriesResult:
         exp_id="table1",
         title="Main parameters and their default values",
         x_label="parameter",
+        x_values=config.describe().splitlines(),
     )
-    for line in config.describe().splitlines():
-        result.x_values.append(line)
-        result.add_point("value", float("nan"))
     result.notes.append(
         "rendered by SimConfig.describe(); bitmap row shows FOR's 546-KB overhead"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    config = ultrastar_36z15_config(readahead=ReadAheadKind.FILE_ORIENTED)
-    print("== table1: Main parameters and their default values ==")
-    print(config.describe())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

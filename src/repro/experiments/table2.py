@@ -70,13 +70,3 @@ def run(
     result.notes.append("values are fractional I/O-time reductions vs Segm")
     result.notes.append("paper: Web .34/.24/.47, Proxy .17/.18/.33, File .12/.10/.21")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 0.05), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,6 +24,7 @@ from repro.experiments.runner import TechniqueRunner
 from repro.experiments.techniques import ALL_TECHNIQUES
 from repro.ingest.detect import parse_source, source_meta
 from repro.ingest.remap import AddressRemapper, infer_layout
+from repro.metrics.report import format_table
 from repro.sim.rng import RandomStreams
 from repro.units import KB
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
@@ -149,11 +150,14 @@ def run(
     return result
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def latency_ranking(result: SeriesResult) -> str:
+    """Rank techniques by delivered mean latency (best first)."""
+    latencies = result.get("mean_lat_ms")
+    order = sorted(range(len(result.x_values)), key=lambda i: latencies[i])
+    rows = [
+        [rank + 1, result.x_values[i], latencies[i]]
+        for rank, i in enumerate(order)
+    ]
+    return "== trace_replay: techniques by delivered mean latency ==\n" + (
+        format_table(["rank", "technique", "mean_lat_ms"], rows)
+    )

@@ -9,8 +9,6 @@ small-file micro-benchmarks; see
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.analysis.validation import run_read_validation, run_write_validation
 from repro.experiments.base import SeriesResult, scaled_count
 
@@ -32,13 +30,3 @@ def run(scale: float = 1.0, seed: int = 1) -> SeriesResult:
         result.add_point("error_frac", v.error_fraction)
     result.notes.append("paper's hardware validation: reads within 8%, writes 3%")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0)).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

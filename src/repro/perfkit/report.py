@@ -10,10 +10,11 @@ Three renderers, all byte-stable for a fixed ``(seed, scale)``:
   test diffs.
 * :func:`series_report` — renders any saved
   :class:`~repro.experiments.base.SeriesResult` (``repro-exp <exp>
-  --report out.md``) with per-series sparklines, plus an
-  experiment-specific analysis section via :data:`EXPERIMENT_HOOKS`
-  (knee tables for ``scale_sweep``/``hybrid_array``, a technique
-  ranking for ``trace_replay``).
+  --report out.md``) with per-series sparklines, plus the
+  experiment's ``analysis`` section from
+  :data:`repro.experiments.registry.EXPERIMENTS` (knee tables for
+  ``scale_sweep``/``hybrid_array``, a technique ranking for
+  ``trace_replay``).
 * :func:`markdown_to_html` — a dependency-free subset-of-markdown to
   HTML converter (headings, fenced code, paragraphs) for ``--html``.
 
@@ -28,7 +29,7 @@ phase table shows one (or five) phases is itself a regression signal.
 from __future__ import annotations
 
 import html as _html
-from typing import Callable, Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.metrics.ascii_chart import sparkline
 from repro.metrics.report import format_table
@@ -182,39 +183,10 @@ def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
 # -- series reports ----------------------------------------------------
 
 
-def _knee_hook(module_name: str) -> Callable:
-    def hook(result) -> str:
-        import importlib
-
-        module = importlib.import_module(module_name)
-        return module.knee_table(result)
-
-    return hook
-
-
-def _trace_replay_hook(result) -> str:
-    """Rank techniques by delivered mean latency (best first)."""
-    latencies = result.get("mean_lat_ms")
-    order = sorted(range(len(result.x_values)), key=lambda i: latencies[i])
-    rows = [
-        [rank + 1, result.x_values[i], latencies[i]]
-        for rank, i in enumerate(order)
-    ]
-    return "== trace_replay: techniques by delivered mean latency ==\n" + (
-        format_table(["rank", "technique", "mean_lat_ms"], rows)
-    )
-
-
-#: Per-experiment analysis sections appended by :func:`series_report`.
-EXPERIMENT_HOOKS: Dict[str, Callable] = {
-    "scale_sweep": _knee_hook("repro.experiments.scale_sweep"),
-    "hybrid_array": _knee_hook("repro.experiments.hybrid_array"),
-    "trace_replay": _trace_replay_hook,
-}
-
-
 def series_report(result) -> str:
     """Render a :class:`SeriesResult` as a markdown report page."""
+    from repro.experiments.registry import EXPERIMENTS
+
     lines = [
         f"# perfkit report — {result.exp_id}",
         "",
@@ -227,10 +199,10 @@ def series_report(result) -> str:
     lines += ["## Sparklines", ""]
     rows = [[name, sparkline(result.get(name))] for name in result.series]
     lines += _fence(format_table(["series", "trajectory"], rows))
-    hook = EXPERIMENT_HOOKS.get(result.exp_id)
-    if hook is not None:
+    experiment = EXPERIMENTS.get(result.exp_id)
+    if experiment is not None and experiment.analysis is not None:
         lines += ["## Experiment analysis", ""]
-        lines += _fence(hook(result))
+        lines += _fence(experiment.analysis(result))
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -3,16 +3,14 @@
 :class:`~repro.host.system.System` used to hard-code if/else chains
 mapping :class:`~repro.config.CacheOrganization` and
 :class:`~repro.config.ReadAheadKind` to concrete classes. The registry
-replaces those chains with lookup tables so a new cache organization or
-read-ahead policy plugs in by registering a factory — no edits to the
-system assembler.
+replaces those chains with two literal lookup tables, so a new cache
+organization or read-ahead policy plugs in by adding a factory and a
+table entry here — no edits to the system assembler.
 
 Factories receive the full :class:`~repro.config.SimConfig` plus the
 per-disk context they may need (disk id, the seeded
 :class:`~repro.sim.rng.RandomStreams`, per-disk sequentiality bitmaps)
-and return a ready component. Registration happens at import time via
-the decorators below; the built-in components are registered here so
-importing this module is sufficient.
+and return a ready component.
 """
 
 from __future__ import annotations
@@ -36,32 +34,60 @@ ReadAheadFactory = Callable[
     [SimConfig, int, Optional[List[SequentialityBitmap]]], ReadAheadPolicy
 ]
 
-_CACHE_FACTORIES: Dict[CacheOrganization, CacheFactory] = {}
-_READAHEAD_FACTORIES: Dict[ReadAheadKind, ReadAheadFactory] = {}
+
+def _segment_cache(
+    config: SimConfig, disk_id: int, streams: RandomStreams
+) -> ControllerCache:
+    return SegmentCache(
+        n_segments=config.effective_segments,
+        segment_blocks=config.cache.segment_blocks,
+        policy=config.cache.segment_policy,
+        rng=streams.stream(f"disk{disk_id}.segcache"),
+    )
 
 
-def register_cache(
-    organization: CacheOrganization,
-) -> Callable[[CacheFactory], CacheFactory]:
-    """Class/function decorator registering a cache factory."""
-
-    def _register(factory: CacheFactory) -> CacheFactory:
-        _CACHE_FACTORIES[organization] = factory
-        return factory
-
-    return _register
+def _block_cache(
+    config: SimConfig, disk_id: int, streams: RandomStreams
+) -> ControllerCache:
+    return BlockCache(
+        capacity_blocks=config.effective_cache_blocks,
+        policy=config.cache.block_policy,
+    )
 
 
-def register_readahead(
-    kind: ReadAheadKind,
-) -> Callable[[ReadAheadFactory], ReadAheadFactory]:
-    """Class/function decorator registering a read-ahead factory."""
+def _blind_readahead(
+    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
+) -> ReadAheadPolicy:
+    return BlindReadAhead(config.cache.segment_blocks)
 
-    def _register(factory: ReadAheadFactory) -> ReadAheadFactory:
-        _READAHEAD_FACTORIES[kind] = factory
-        return factory
 
-    return _register
+def _no_readahead(
+    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
+) -> ReadAheadPolicy:
+    return NoReadAhead()
+
+
+def _file_oriented_readahead(
+    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
+) -> ReadAheadPolicy:
+    if bitmaps is None:
+        raise ConfigError(
+            "file-oriented read-ahead requires per-disk bitmaps "
+            "(build them with repro.fs.build_bitmaps)"
+        )
+    return FileOrientedReadAhead(bitmaps[disk_id], config.cache.segment_blocks)
+
+
+_CACHE_FACTORIES: Dict[CacheOrganization, CacheFactory] = {
+    CacheOrganization.SEGMENT: _segment_cache,
+    CacheOrganization.BLOCK: _block_cache,
+}
+
+_READAHEAD_FACTORIES: Dict[ReadAheadKind, ReadAheadFactory] = {
+    ReadAheadKind.BLIND: _blind_readahead,
+    ReadAheadKind.NONE: _no_readahead,
+    ReadAheadKind.FILE_ORIENTED: _file_oriented_readahead,
+}
 
 
 def make_cache(
@@ -88,54 +114,3 @@ def make_readahead(
             f"no read-ahead factory registered for {config.readahead!r}"
         )
     return factory(config, disk_id, bitmaps)
-
-
-# -- built-in components ----------------------------------------------------
-
-
-@register_cache(CacheOrganization.SEGMENT)
-def _segment_cache(
-    config: SimConfig, disk_id: int, streams: RandomStreams
-) -> ControllerCache:
-    return SegmentCache(
-        n_segments=config.effective_segments,
-        segment_blocks=config.cache.segment_blocks,
-        policy=config.cache.segment_policy,
-        rng=streams.stream(f"disk{disk_id}.segcache"),
-    )
-
-
-@register_cache(CacheOrganization.BLOCK)
-def _block_cache(
-    config: SimConfig, disk_id: int, streams: RandomStreams
-) -> ControllerCache:
-    return BlockCache(
-        capacity_blocks=config.effective_cache_blocks,
-        policy=config.cache.block_policy,
-    )
-
-
-@register_readahead(ReadAheadKind.BLIND)
-def _blind_readahead(
-    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
-) -> ReadAheadPolicy:
-    return BlindReadAhead(config.cache.segment_blocks)
-
-
-@register_readahead(ReadAheadKind.NONE)
-def _no_readahead(
-    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
-) -> ReadAheadPolicy:
-    return NoReadAhead()
-
-
-@register_readahead(ReadAheadKind.FILE_ORIENTED)
-def _file_oriented_readahead(
-    config: SimConfig, disk_id: int, bitmaps: Optional[List[SequentialityBitmap]]
-) -> ReadAheadPolicy:
-    if bitmaps is None:
-        raise ConfigError(
-            "file-oriented read-ahead requires per-disk bitmaps "
-            "(build them with repro.fs.build_bitmaps)"
-        )
-    return FileOrientedReadAhead(bitmaps[disk_id], config.cache.segment_blocks)

@@ -33,7 +33,6 @@ from repro.devices import (
     FlatGeometry,
     HddDeviceModel,
     make_device_model,
-    register_device,
 )
 from repro.errors import AddressError, ConfigError
 from repro.mechanics.service import ServiceTimeModel
@@ -101,12 +100,6 @@ def test_registry_builds_per_kind():
     assert isinstance(ssd, FlashServiceModel) and ssd.kind is DeviceKind.SSD
     assert hdd.channels == 1
     assert ssd.channels == GENERIC_SSD.ssd.channels
-
-
-def test_registry_rejects_duplicate_registration():
-    assert set(DEVICE_MODELS) == {DeviceKind.HDD, DeviceKind.SSD}
-    with pytest.raises(ConfigError):
-        register_device(DeviceKind.SSD)(lambda *a, **kw: None)
     assert set(DEVICE_MODELS) == {DeviceKind.HDD, DeviceKind.SSD}
 
 

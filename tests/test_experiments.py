@@ -8,9 +8,9 @@ from repro.config import (
     ReadAheadKind,
     ultrastar_36z15_config,
 )
-from repro.experiments.base import SeriesResult, parse_scale, scaled_count
+from repro.experiments.base import SeriesResult, scaled_count
 from repro.experiments.cli import main as cli_main
-from repro.experiments.registry import EXPERIMENTS, RUNNERS
+from repro.experiments.registry import EXPERIMENTS, Experiment
 from repro.experiments.runner import TechniqueRunner
 from repro.experiments.techniques import (
     ALL_TECHNIQUES,
@@ -143,12 +143,6 @@ class TestSeriesResult:
         assert scaled_count(1000, 0.5) == 500
         assert scaled_count(10, 0.0001, minimum=3) == 3
 
-    def test_parse_scale(self):
-        assert parse_scale(["--scale", "0.25"], 1.0) == 0.25
-        assert parse_scale([], 0.3) == 0.3
-        assert parse_scale(None, 0.3) == 0.3
-        assert parse_scale(["--scale"], 0.3) == 0.3
-
 
 class TestRegistryAndCli:
     def test_registry_covers_every_paper_artifact(self):
@@ -160,7 +154,6 @@ class TestRegistryAndCli:
         expected |= {"service_demo"}  # live block-service extension
         expected |= {"hybrid_array"}  # heterogeneous-array extension
         assert set(EXPERIMENTS) == expected
-        assert set(RUNNERS) == expected
 
     def test_cli_help(self, capsys):
         assert cli_main([]) == 0
@@ -173,6 +166,32 @@ class TestRegistryAndCli:
     def test_cli_runs_table1(self, capsys):
         assert cli_main(["table1"]) == 0
         assert "Number of disks" in capsys.readouterr().out
+
+    def stdout_of(self, argv, capsys):
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_one_print_path_for_every_flag_mix(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Serial, --jobs and --chart runs print the same text, analysis
+        section included."""
+        monkeypatch.chdir(tmp_path)
+        no_cache = ["--no-cache"]
+        sweep = ["scale_sweep", "--scale", "0.02"]
+        serial = self.stdout_of(sweep, capsys)
+        assert "== scale_sweep: p99 knee" in serial
+        for jobs in ("1", "2"):
+            parallel = self.stdout_of(sweep + ["--jobs", jobs] + no_cache, capsys)
+            assert parallel == serial, jobs
+        chart = self.stdout_of(sweep + ["--chart"], capsys)
+        assert chart.startswith(serial)
+        assert len(chart) > len(serial)
+
+        table1 = self.stdout_of(["table1"], capsys)
+        parallel = self.stdout_of(["table1", "--jobs", "1"] + no_cache, capsys)
+        assert parallel == table1
+        assert "nan" not in table1
 
     @pytest.mark.parametrize(
         "flags",
@@ -189,8 +208,35 @@ class TestRegistryAndCli:
     def test_cli_rejects_missing_or_non_numeric_values(self, flags, capsys):
         assert cli_main(["validation", *flags]) == 2
         err = capsys.readouterr().err
-        assert f"{flags[0]} needs a numeric value" in err
+        assert f"argument {flags[0]}: " in err
         assert "usage: repro-exp" in err
+
+    # --scale, --jobs and --trace-limit with no value: the test above.
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--faults"],
+            ["--cache-dir"],
+            ["--report"],
+            ["--trace-out"],
+            ["--scale", "0.2", "--faults"],
+            ["--sclae", "0.2"],
+            ["--bogus-flag"],
+        ],
+    )
+    def test_cli_rejects_valueless_or_unknown_flags(
+        self, flags, monkeypatch, capsys
+    ):
+        def must_not_run(**kwargs):
+            raise AssertionError("the experiment ran despite a bad flag")
+
+        monkeypatch.setitem(
+            EXPERIMENTS, "validation", Experiment(must_not_run)
+        )
+        assert cli_main(["validation", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: repro-exp" in captured.err
 
     def test_cli_runs_validation(self, capsys):
         assert cli_main(["validation", "--scale", "0.2"]) == 0

@@ -7,8 +7,6 @@ steers reads toward the flash replicas via expected-service-time
 weighting.
 """
 
-import pytest
-
 from repro.array.raid import MirroredArray
 from repro.config import ArrayParams, DeviceKind, ultrastar_36z15_config
 from repro.experiments import hybrid_array
@@ -118,8 +116,10 @@ def test_knee_table_renders_all_cells():
 
 
 def test_registry_exposes_hybrid_array():
-    from repro.experiments.registry import EXPERIMENTS, RUNNERS, SWEEPS
+    from repro.experiments.registry import EXPERIMENTS
 
-    assert "hybrid_array" in EXPERIMENTS and "hybrid_array" in RUNNERS
-    assert SWEEPS["hybrid_array"].axis == "arrays"
-    assert SWEEPS["hybrid_array"].values == tuple(hybrid_array.ARRAYS)
+    exp = EXPERIMENTS["hybrid_array"]
+    assert exp.run is hybrid_array.run
+    assert exp.axis == "arrays"
+    assert exp.values == tuple(hybrid_array.ARRAYS)
+    assert exp.analysis is hybrid_array.knee_table

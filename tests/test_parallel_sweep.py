@@ -17,7 +17,7 @@ from repro.experiments.parallel import (
     run_cell,
     sweep_experiment,
 )
-from repro.experiments.registry import RUNNERS, SWEEPS
+from repro.experiments.registry import EXPERIMENTS
 
 # restricted axes keep the simulation-backed checks fast
 FIG01_POINTS = (0.0, 0.05)
@@ -49,25 +49,26 @@ class TestExpansion:
             expand_cells("fig99")
 
     def test_every_runner_has_a_sweep_spec(self):
-        assert set(SWEEPS) == set(RUNNERS)
+        for name, exp in EXPERIMENTS.items():
+            assert callable(exp.run), name
+            # an axis comes with its sweep points; no axis, no points
+            assert (exp.axis is None) == (exp.values == ()), name
 
     def test_axis_names_are_real_run_kwargs(self):
-        for name, spec in SWEEPS.items():
-            if spec.axis is None:
+        for name, exp in EXPERIMENTS.items():
+            if exp.axis is None:
                 continue
-            params = inspect.signature(RUNNERS[name]).parameters
-            assert spec.axis in params, f"{name}: {spec.axis}"
+            params = inspect.signature(exp.run).parameters
+            assert exp.axis in params, f"{name}: {exp.axis}"
 
     def test_default_values_match_driver_defaults(self):
-        for name, spec in SWEEPS.items():
-            if spec.axis is None:
+        for name, exp in EXPERIMENTS.items():
+            if exp.axis is None:
                 continue
-            default = inspect.signature(RUNNERS[name]).parameters[
-                spec.axis
-            ].default
+            default = inspect.signature(exp.run).parameters[exp.axis].default
             if default is None:  # table2: None means "all servers"
                 continue
-            assert tuple(default) == spec.values, name
+            assert tuple(default) == exp.values, name
 
 
 class TestMerge:
@@ -100,7 +101,7 @@ class TestMerge:
 
 class TestByteIdentity:
     def serial(self, name, **kwargs):
-        return RUNNERS[name](**kwargs)
+        return EXPERIMENTS[name].run(**kwargs)
 
     def test_fig01_inline_matches_serial(self):
         serial = self.serial(
@@ -225,7 +226,7 @@ class TestCli:
         ]
         assert cli.main(argv) == 0
         first = capsys.readouterr()
-        serial = RUNNERS["validation"](scale=0.2)
+        serial = EXPERIMENTS["validation"].run(scale=0.2)
         assert first.out.rstrip("\n") == serial.to_text()
         assert "0 hit / 1 miss" in first.err
 
@@ -243,7 +244,8 @@ class TestCli:
     def test_serial_path_unchanged_without_flags(self, capsys):
         assert cli.main(["validation", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
-        assert out.rstrip("\n") == RUNNERS["validation"](scale=0.2).to_text()
+        serial = EXPERIMENTS["validation"].run(scale=0.2)
+        assert out.rstrip("\n") == serial.to_text()
 
     def test_usage_mentions_parallel_flags(self, capsys):
         cli.main(["--help"])

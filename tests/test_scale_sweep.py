@@ -5,7 +5,7 @@ import pytest
 from repro.experiments import scale_sweep
 from repro.experiments.base import SeriesResult
 from repro.experiments.parallel import ParallelSweep
-from repro.experiments.registry import EXPERIMENTS, RUNNERS, SWEEPS
+from repro.experiments.registry import EXPERIMENTS
 
 #: A tiny two-point sweep that still straddles the knee at scale 0.02:
 #: 400 records against 500 vs 200k clients.
@@ -85,11 +85,11 @@ class TestKnees:
 
 class TestRegistry:
     def test_registered_everywhere(self):
-        assert "scale_sweep" in EXPERIMENTS
-        assert "scale_sweep" in RUNNERS
-        spec = SWEEPS["scale_sweep"]
-        assert spec.axis == "clients"
-        assert spec.values == scale_sweep.CLIENT_COUNTS
+        exp = EXPERIMENTS["scale_sweep"]
+        assert exp.run is scale_sweep.run
+        assert exp.axis == "clients"
+        assert exp.values == scale_sweep.CLIENT_COUNTS
+        assert exp.analysis is scale_sweep.knee_table
 
     def test_parallel_matches_serial(self):
         """Each cell sees one population size; the merged result must be

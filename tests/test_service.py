@@ -327,8 +327,8 @@ class TestServiceDemoExperiment:
                 )
 
     def test_registered_as_indivisible_sweep(self):
-        from repro.experiments.registry import EXPERIMENTS, RUNNERS, SWEEPS
+        from repro.experiments import service_demo
+        from repro.experiments.registry import EXPERIMENTS
 
-        assert "service_demo" in EXPERIMENTS
-        assert "service_demo" in RUNNERS
-        assert SWEEPS["service_demo"].axis is None
+        assert EXPERIMENTS["service_demo"].run is service_demo.run
+        assert EXPERIMENTS["service_demo"].axis is None
