@@ -94,7 +94,6 @@ from repro.host.system import System
 from repro.metrics.collector import RunResult
 from repro.obs import (
     Histogram,
-    MetricsRegistry,
     NULL_TRACER,
     Tracer,
     active_tracer,
@@ -112,7 +111,6 @@ from repro.perfkit import (
     PhaseDetector,
     attribute_shift,
     detect_phases,
-    summarize_run,
 )
 from repro.service.qos import QoSPolicy
 from repro.sim.engine import Simulator
@@ -218,7 +216,6 @@ __all__ = [
     "uninstall_tracer",
     "active_tracer",
     "Histogram",
-    "MetricsRegistry",
     "chrome_trace_dict",
     "write_chrome_trace",
     "write_jsonl",
@@ -256,7 +253,6 @@ __all__ = [
     "PhaseDetector",
     "detect_phases",
     "AttributionReport",
-    "summarize_run",
     "attribute_shift",
     "__version__",
 ]

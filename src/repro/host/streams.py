@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Union
 from repro.controller.commands import DiskCommand
 from repro.errors import WorkloadError
 from repro.host.system import System
-from repro.obs.metrics import Histogram, default_latency_buckets_ms
+from repro.obs.metrics import Histogram
 from repro.oscache.coalesce import Coalescer
 from repro.workloads.trace import DiskAccess, Trace, TraceMeta
 
@@ -108,9 +108,7 @@ class ReplayDriver:
         #: when ``keep_raw_latencies`` is False).
         self.record_latencies_ms: List[float] = []
         #: Fixed-bucket summary of every record latency, always filled.
-        self.latency_histogram = Histogram(
-            default_latency_buckets_ms(), name="record_latency_ms"
-        )
+        self.latency_histogram = Histogram()
         # in-flight read runs -> (record, stream, issued_at, span) waiters
         self._inflight: dict = {}
 

@@ -12,8 +12,9 @@ Layout:
 
 * :mod:`repro.obs.tracer` — the event recorder + the active-tracer
   registry (:func:`install_tracer` / :func:`active_tracer`);
-* :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
-  (p50/p95/p99 without retaining raw samples);
+* :mod:`repro.obs.metrics` — the fixed-bucket latency histogram
+  (p50/p95/p99 without retaining raw samples) and the exact
+  nearest-rank percentile;
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event exporters
   (the latter loads in Perfetto / ``chrome://tracing``);
 * :mod:`repro.obs.timeline` — per-disk time-in-state breakdowns
@@ -23,13 +24,7 @@ Layout:
   traces (``python -m repro.obs.validate trace.json``).
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    default_latency_buckets_ms,
-    default_size_buckets_blocks,
-)
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, nearest_rank
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -51,11 +46,9 @@ from repro.obs.timeline import (
 )
 
 __all__ = [
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
-    "default_latency_buckets_ms",
-    "default_size_buckets_blocks",
+    "LATENCY_BUCKETS_MS",
+    "nearest_rank",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

@@ -34,8 +34,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
-
 
 class Tracer:
     """Records structured simulator events with simulated timestamps."""
@@ -54,7 +52,6 @@ class Tracer:
         self.dropped = 0
         #: Labels of the simulated runs seen so far (index = event run).
         self.runs: List[str] = ["run"]
-        self.metrics = MetricsRegistry()
         self._run = 0
         self._clock: Any = None
         self._next_span = 1

@@ -26,9 +26,8 @@ internals (layering rule 10 in ``tools/check_layering.py``).
 from repro.perfkit.attribute import (
     Attribution,
     AttributionReport,
-    RunSummary,
     attribute_shift,
-    summarize_run,
+    components_ms,
 )
 from repro.perfkit.phases import Phase, PhaseDetector, detect_phases
 
@@ -36,9 +35,8 @@ __all__ = [
     "Phase",
     "PhaseDetector",
     "detect_phases",
-    "RunSummary",
     "Attribution",
     "AttributionReport",
-    "summarize_run",
+    "components_ms",
     "attribute_shift",
 ]

@@ -35,87 +35,53 @@ latencies and are reported whole-run only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ReproError
 from repro.metrics.report import format_table
 from repro.obs.timeline import MEDIA_STATES, STATE_TRACK_SUFFIX, merge_time_in_state
 
+if TYPE_CHECKING:
+    from repro.metrics.collector import RunResult
+
 #: Components of the per-record cost vector, in presentation order.
 COMPONENTS = MEDIA_STATES + ("queue", "cache")
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """One run reduced to the numbers attribution needs."""
+def components_ms(result: RunResult) -> Dict[str, float]:
+    """Per-record cost vector (ms) of one run, in :data:`COMPONENTS` order.
 
-    label: str
-    records: int
-    io_time_ms: float
-    mean_latency_ms: float
-    throughput_mb_s: float
-    #: ms per record for every name in :data:`COMPONENTS`.
-    components_ms: Mapping[str, float]
-    cache_hit_rate: float
-    hdc_hit_rate: float
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-data form (JSON-safe)."""
-        return {
-            "label": self.label,
-            "records": self.records,
-            "io_time_ms": self.io_time_ms,
-            "mean_latency_ms": self.mean_latency_ms,
-            "throughput_mb_s": self.throughput_mb_s,
-            "components_ms": dict(self.components_ms),
-            "cache_hit_rate": self.cache_hit_rate,
-            "hdc_hit_rate": self.hdc_hit_rate,
-        }
-
-
-def summarize_run(result: object, label: str) -> RunSummary:
-    """Reduce a :class:`~repro.metrics.collector.RunResult` (duck-typed).
-
-    Works on anything exposing ``records``, ``io_time_ms``,
-    ``mean_latency_ms``, ``throughput_mb_s``, ``time_in_state``,
-    ``cache`` (with ``block_hits``) and ``controller`` (with
-    ``media_blocks_read``/``media_blocks_written``) — which keeps
-    perfkit on the metrics surface, off the simulator internals.
+    Reads only ``records``, ``mean_latency_ms``, ``time_in_state``,
+    ``cache.block_hits`` and ``controller.media_blocks_read`` /
+    ``media_blocks_written`` — which keeps perfkit on the metrics
+    surface, off the simulator internals. A zero-record run is costed
+    as one record, so every component stays defined.
     """
-    records = max(1, int(getattr(result, "records", 0)))
-    merged = merge_time_in_state(list(getattr(result, "time_in_state", [])))
+    records = max(1, result.records)
+    merged = merge_time_in_state(result.time_in_state)
     components: Dict[str, float] = {
         state: merged.get(state, 0.0) / records for state in MEDIA_STATES
     }
     media_ms = sum(components.values())
-    mean_latency = float(getattr(result, "mean_latency_ms", 0.0))
-    components["queue"] = mean_latency - media_ms
+    components["queue"] = result.mean_latency_ms - media_ms
 
-    cache_stats = getattr(result, "cache", None)
-    controller = getattr(result, "controller", None)
+    controller = result.controller
+    media_blocks = controller.media_blocks_read + controller.media_blocks_written
     cache_credit = 0.0
-    if cache_stats is not None and controller is not None:
-        media_blocks = (
-            getattr(controller, "media_blocks_read", 0)
-            + getattr(controller, "media_blocks_written", 0)
-        )
-        busy_total = merged.get("busy", media_ms * records)
-        if media_blocks > 0:
-            ms_per_block = busy_total / media_blocks
-            hits = getattr(cache_stats, "block_hits", 0)
-            cache_credit = -(hits / records) * ms_per_block
+    if media_blocks > 0:
+        ms_per_block = merged.get("busy", media_ms * records) / media_blocks
+        cache_credit = -(result.cache.block_hits / records) * ms_per_block
     components["cache"] = cache_credit
-
-    return RunSummary(
-        label=label,
-        records=records,
-        io_time_ms=float(getattr(result, "io_time_ms", 0.0)),
-        mean_latency_ms=mean_latency,
-        throughput_mb_s=float(getattr(result, "throughput_mb_s", 0.0)),
-        components_ms=components,
-        cache_hit_rate=float(getattr(result, "cache_hit_rate", 0.0)),
-        hdc_hit_rate=float(getattr(result, "hdc_hit_rate", 0.0)),
-    )
+    return components
 
 
 @dataclass(frozen=True)
@@ -132,10 +98,16 @@ class Attribution:
 
 @dataclass
 class AttributionReport:
-    """Ranked per-component explanation of a latency/throughput shift."""
+    """Ranked per-component explanation of a latency/throughput shift.
 
-    base: RunSummary
-    new: RunSummary
+    ``base`` and ``new`` are the two runs (:class:`RunResult`), named
+    in the text by ``base_label`` and ``new_label``.
+    """
+
+    base: RunResult
+    new: RunResult
+    base_label: str
+    new_label: str
     ranking: List[Attribution]
 
     @property
@@ -151,7 +123,7 @@ class AttributionReport:
         direction = "slower" if self.latency_delta_ms > 0 else "faster"
         top = self.ranking[0]
         return (
-            f"{self.new.label} vs {self.base.label}: "
+            f"{self.new_label} vs {self.base_label}: "
             f"{abs(self.latency_delta_ms):.3f} ms/record {direction} "
             f"({self.base.mean_latency_ms:.3f} -> "
             f"{self.new.mean_latency_ms:.3f}); top component: "
@@ -184,16 +156,20 @@ class AttributionReport:
         return f"{self.headline()}\n{table}\n{context}"
 
 
-def attribute_shift(base: RunSummary, new: RunSummary) -> AttributionReport:
-    """Diff two run summaries and rank components by |delta|.
+def attribute_shift(
+    base: RunResult,
+    new: RunResult,
+    base_label: str = "base",
+    new_label: str = "new",
+) -> AttributionReport:
+    """Diff two runs' component vectors and rank components by |delta|.
 
     Ties (including the all-zero-delta case of identical runs) break
     by :data:`COMPONENTS` order, so the ranking is deterministic.
     """
-    deltas = {
-        c: new.components_ms.get(c, 0.0) - base.components_ms.get(c, 0.0)
-        for c in COMPONENTS
-    }
+    base_ms = components_ms(base)
+    new_ms = components_ms(new)
+    deltas = {c: new_ms[c] - base_ms[c] for c in COMPONENTS}
     total = sum(abs(d) for d in deltas.values())
     order = sorted(
         COMPONENTS, key=lambda c: (-abs(deltas[c]), COMPONENTS.index(c))
@@ -201,14 +177,14 @@ def attribute_shift(base: RunSummary, new: RunSummary) -> AttributionReport:
     ranking = [
         Attribution(
             component=c,
-            base_ms=base.components_ms.get(c, 0.0),
-            new_ms=new.components_ms.get(c, 0.0),
+            base_ms=base_ms[c],
+            new_ms=new_ms[c],
             delta_ms=deltas[c],
             share=abs(deltas[c]) / total if total > 0 else 0.0,
         )
         for c in order
     ]
-    return AttributionReport(base=base, new=new, ranking=ranking)
+    return AttributionReport(base, new, base_label, new_label, ranking)
 
 
 # -- per-phase media attribution --------------------------------------

@@ -37,7 +37,6 @@ from repro.perfkit.attribute import (
     attribute_shift,
     phase_attribution_table,
     phase_media_breakdown,
-    summarize_run,
 )
 from repro.perfkit.phases import detect_phases, phase_table
 
@@ -126,9 +125,9 @@ def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
     base_res, base_events = _traced_run(runner, config, SMOKE_BASE)
     new_res, new_events = _traced_run(runner, config, SMOKE_NEW)
 
-    base = summarize_run(base_res, ALL_TECHNIQUES[SMOKE_BASE].label)
-    new = summarize_run(new_res, ALL_TECHNIQUES[SMOKE_NEW].label)
-    attribution = attribute_shift(base, new)
+    base_label = ALL_TECHNIQUES[SMOKE_BASE].label
+    new_label = ALL_TECHNIQUES[SMOKE_NEW].label
+    attribution = attribute_shift(base_res, new_res, base_label, new_label)
 
     bounds: List[Tuple[float, float]] = [
         (p.start_ms or 0.0, p.end_ms or 0.0) for p in phases
@@ -142,7 +141,7 @@ def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
         f"Two-phase open-loop replay of {len(trace.records)} records "
         f"(seed {seed}, scale {scale:g}): slow all-read arrivals, then "
         f"~{SMOKE_SLOW_MS / SMOKE_FAST_MS:g}x faster with writes mixed "
-        f"in. Base technique `{base.label}`, comparison `{new.label}`.",
+        f"in. Base technique `{base_label}`, comparison `{new_label}`.",
         "",
         "## Workload phases",
         "",
@@ -151,13 +150,13 @@ def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
     lines += ["## Technique comparison", ""]
     rows = [
         [
-            s.label,
-            s.mean_latency_ms,
-            s.throughput_mb_s,
-            f"{s.cache_hit_rate:.3f}",
-            f"{s.hdc_hit_rate:.3f}",
+            label,
+            res.mean_latency_ms,
+            res.throughput_mb_s,
+            f"{res.cache_hit_rate:.3f}",
+            f"{res.hdc_hit_rate:.3f}",
         ]
-        for s in (base, new)
+        for label, res in ((base_label, base_res), (new_label, new_res))
     ]
     lines += _fence(
         format_table(
@@ -173,8 +172,8 @@ def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
             phases,
             base_breakdowns,
             new_breakdowns,
-            base_label=base.label,
-            new_label=new.label,
+            base_label=base_label,
+            new_label=new_label,
         )
     )
     return "\n".join(lines).rstrip() + "\n"

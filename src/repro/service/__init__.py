@@ -31,7 +31,6 @@ from repro.service.protocol import (
     STATUS_OK,
 )
 from repro.service.qos import QoSPolicy, TenantQueue, TokenBucket
-from repro.service.metrics import ServiceMetrics
 
 # server/client are imported lazily: ``python -m repro.service.server``
 # runs this __init__ first, and an eager import of the very module runpy
@@ -64,7 +63,6 @@ __all__ = [
     "STATUS_OK",
     "ServiceClient",
     "ServiceConfig",
-    "ServiceMetrics",
     "TenantQueue",
     "TokenBucket",
     "run_load",

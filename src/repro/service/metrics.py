@@ -1,95 +1,58 @@
-"""Per-tenant service metrics on the PR-2 observability stack.
+"""Per-tenant service latency histograms.
 
-One :class:`ServiceMetrics` owns a :class:`~repro.obs.metrics
-.MetricsRegistry` with, per tenant, a latency histogram (admission →
-completion, simulated ms), a queue-wait histogram (admission →
-dispatch), and op/shed counters. The STATS op and the server's
-shutdown summary both read from here, so the wire numbers and the
-console numbers can never drift apart.
+One :class:`ServiceMetrics` holds two tenant-keyed tables of
+:class:`~repro.obs.metrics.Histogram`: request latency (admission →
+completion, simulated ms) and queue wait (admission → dispatch). The
+request counts (admitted, completed, shed) live on the tenant's
+:class:`~repro.service.qos.TenantQueue`, their one home. The STATS op
+and the server's shutdown summary both render the same per-tenant
+documents (counts plus :meth:`ServiceMetrics.tenant_summary`), so the
+wire numbers and the console numbers can never drift apart.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from collections import defaultdict
+from typing import Any, DefaultDict, Dict
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    default_latency_buckets_ms,
-)
+from repro.obs.metrics import Histogram
 
 
 class ServiceMetrics:
-    """Tenant-keyed latency histograms and request counters."""
+    """Tenant-keyed latency and queue-wait histograms."""
 
     def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-
-    # -- recording -----------------------------------------------------
+        self.latency_ms: DefaultDict[str, Histogram] = defaultdict(Histogram)
+        self.queue_ms: DefaultDict[str, Histogram] = defaultdict(Histogram)
 
     def latency_histogram(self, tenant: str) -> Histogram:
         """The tenant's admission→completion latency histogram (ms)."""
-        return self.registry.histogram(
-            f"service.{tenant}.latency_ms", default_latency_buckets_ms()
-        )
-
-    def queue_histogram(self, tenant: str) -> Histogram:
-        """The tenant's admission→dispatch queue-wait histogram (ms)."""
-        return self.registry.histogram(
-            f"service.{tenant}.queue_ms", default_latency_buckets_ms()
-        )
+        return self.latency_ms[tenant]
 
     def record_completion(
-        self, tenant: str, op: str, latency_ms: float, queue_ms: float
+        self, tenant: str, latency_ms: float, queue_ms: float
     ) -> None:
-        """One finished request: both histograms plus the op counter."""
-        self.latency_histogram(tenant).observe(latency_ms)
-        self.queue_histogram(tenant).observe(queue_ms)
-        self.registry.counter(f"service.{tenant}.{op.lower()}_ops").inc()
-
-    def record_shed(self, tenant: str) -> None:
-        """One BUSY refusal."""
-        self.registry.counter(f"service.{tenant}.shed").inc()
-
-    def record_error(self, tenant: str) -> None:
-        """One ERROR reply."""
-        self.registry.counter(f"service.{tenant}.errors").inc()
-
-    # -- reporting -----------------------------------------------------
+        """One finished request: both histograms."""
+        self.latency_ms[tenant].observe(latency_ms)
+        self.queue_ms[tenant].observe(queue_ms)
 
     def tenant_summary(self, tenant: str) -> Dict[str, Any]:
-        """JSON-safe percentile/counter snapshot for one tenant."""
-        latency = self.latency_histogram(tenant)
-        queue = self.queue_histogram(tenant)
-        summary: Dict[str, Any] = {
-            "completed": latency.count,
-            "shed": self.registry.counter(f"service.{tenant}.shed").value,
-            "errors": self.registry.counter(f"service.{tenant}.errors").value,
-        }
-        if latency.count:
-            summary["latency_ms"] = {
+        """JSON-safe percentile snapshot for one tenant (empty if idle)."""
+        latency = self.latency_ms.get(tenant)
+        if latency is None or not latency.count:
+            return {}
+        queue = self.queue_ms[tenant]
+        return {
+            "latency_ms": {
                 "mean": latency.mean,
                 "p50": latency.p50,
                 "p95": latency.p95,
                 "p99": latency.p99,
                 "max": latency.max,
-            }
-            summary["queue_ms"] = {
+            },
+            "queue_ms": {
                 "mean": queue.mean,
                 "p95": queue.p95,
                 "max": queue.max,
-            }
-        return summary
-
-    def tenants(self) -> list:
-        """Every tenant that has recorded at least one metric."""
-        names = set()
-        for name, _metric in self.registry.items():
-            parts = name.split(".")
-            if len(parts) >= 3 and parts[0] == "service":
-                names.add(parts[1])
-        return sorted(names)
-
-    def to_text(self) -> str:
-        """The registry's one-line-per-metric dump (shutdown summary)."""
-        return self.registry.to_text()
+            },
+        }

@@ -31,7 +31,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.array.raid import MirroredArray
 from repro.config import ArrayParams, DiskParams, make_config
@@ -338,7 +338,6 @@ class BlockService:
         elif decision == QUEUED:
             self._arm_token_timer(tenant)
         else:  # SHED
-            self.metrics.record_shed(request.tenant)
             conn.send_threadsafe(Response(request.req_id, STATUS_BUSY))
 
     def _issue(self, tenant: TenantQueue, item: _PendingIO) -> None:
@@ -365,9 +364,7 @@ class BlockService:
         now = self.sim.now
         latency = now - item.admit_ms
         queue_ms = item.dispatch_ms - item.admit_ms
-        self.metrics.record_completion(
-            tenant.name, item.request.op, latency, queue_ms
-        )
+        self.metrics.record_completion(tenant.name, latency, queue_ms)
         if self.tracer.enabled:
             self.tracer.instant(
                 SERVICE_TRACK,
@@ -450,8 +447,17 @@ class BlockService:
         }
 
     def summary_text(self) -> str:
-        """Shutdown summary: the metrics registry's text dump."""
-        return self.metrics.to_text()
+        """Shutdown summary: one line per tenant, the STATS tenant numbers."""
+        lines: List[str] = []
+        for name, doc in self._stats()["tenants"].items():
+            fields: List[str] = []
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    fields += [f"{key}.{k}={v:.3f}" for k, v in value.items()]
+                else:
+                    fields.append(f"{key}={value}")
+            lines.append(f"{name}: " + " ".join(fields))
+        return "\n".join(lines)
 
 
 # -- CLI ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from repro import ultrastar_36z15_config
 from repro.cache.base import CacheStats
 from repro.controller.stats import ControllerStats
 from repro.metrics.collector import RunResult
-from repro.obs.metrics import Histogram, default_latency_buckets_ms
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, nearest_rank
 from repro.units import KB
 
 
@@ -122,20 +122,20 @@ class TestHistogramFallback:
         against the exact nearest-rank statistic over the raw samples:
         the estimate must land inside the bucket containing the exact
         value, clamped to ``[min, max]`` of the observed data."""
-        bounds = default_latency_buckets_ms()
+        bounds = LATENCY_BUCKETS_MS
         percentiles = (1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0)
         for seed in range(20):
             rng = random.Random(seed)
             n = rng.randrange(1, 400)
             # Log-uniform over the bucket ladder's full dynamic range,
             # occasionally past the last bound (overflow bucket).
-            samples = [10.0 ** rng.uniform(-3, 5.5) for _ in range(n)]
-            hist = Histogram(bounds)
-            hist.observe_many(samples)
+            samples = [10.0 ** rng.uniform(-3, 6) for _ in range(n)]
+            hist = Histogram()
+            for v in samples:
+                hist.observe(v)
             ordered = sorted(samples)
             for p in percentiles:
-                rank = max(1, int(round(p / 100.0 * n)))
-                exact = ordered[rank - 1]
+                exact = nearest_rank(ordered, p)
                 estimate = hist.percentile(p)
                 # Clamped to the observed range...
                 assert hist.min <= estimate <= hist.max, (seed, p)
@@ -151,17 +151,19 @@ class TestHistogramFallback:
         and never leaves the observed [min, max] envelope."""
         for seed in range(5):
             rng = random.Random(100 + seed)
-            samples = [rng.uniform(10.0, 24.9) for _ in range(50)]
-            hist = Histogram((25.0,))  # one finite bucket holds everything
-            hist.observe_many(samples)
+            # Every sample in the ladder's (10, 25] bucket.
+            samples = [rng.uniform(10.1, 24.9) for _ in range(50)]
+            hist = Histogram()
+            for v in samples:
+                hist.observe(v)
+            assert hist.counts[LATENCY_BUCKETS_MS.index(25.0)] == 50
             ordered = sorted(samples)
             for p in (1.0, 50.0, 99.0):
-                rank = max(1, int(round(p / 100.0 * len(samples))))
-                exact = ordered[rank - 1]
+                exact = nearest_rank(ordered, p)
                 estimate = hist.percentile(p)
                 assert hist.min <= estimate <= hist.max
                 # Same (single) bucket as the exact statistic, trivially.
-                assert 0.0 <= estimate <= 25.0
+                assert 10.0 <= estimate <= 25.0
                 assert abs(estimate - exact) <= hist.max - hist.min
 
     def test_differential_overflow_bucket_reports_max(self):
@@ -169,9 +171,11 @@ class TestHistogramFallback:
         exact observed max — there is no upper bound to interpolate to."""
         rng = random.Random(7)
         inside = [rng.uniform(0.1, 9.9) for _ in range(10)]
-        beyond = [rng.uniform(100.0, 5000.0) for _ in range(40)]
-        hist = Histogram((10.0,))
-        hist.observe_many(inside + beyond)
+        beyond = [rng.uniform(6e5, 9e5) for _ in range(40)]
+        assert min(beyond) > LATENCY_BUCKETS_MS[-1]
+        hist = Histogram()
+        for v in inside + beyond:
+            hist.observe(v)
         assert hist.percentile(99.0) == max(beyond)
         assert hist.percentile(100.0) == max(beyond)
         # A rank inside the finite bucket still interpolates below it.
@@ -181,14 +185,16 @@ class TestHistogramFallback:
         """The post-loop return (metrics.py defensive tail) is
         unreachable through consistent state; force an inconsistent
         count to pin its behaviour: it reports ``max``, never raises."""
-        hist = Histogram((10.0, 20.0))
-        hist.observe_many([5.0, 15.0])
+        hist = Histogram()
+        hist.observe(5.0)
+        hist.observe(15.0)
         hist.count = 10  # rank now exceeds the bucket counts' total
         assert hist.percentile(100.0) == hist.max
 
     def test_synthetic_histogram_fallback(self):
-        hist = Histogram(default_latency_buckets_ms())
-        hist.observe_many([1.0, 2.0, 3.0, 4.0])
+        hist = Histogram()
+        for v in (1.0, 2.0, 3.0, 4.0):
+            hist.observe(v)
         result = RunResult(
             io_time_ms=100.0,
             records=4,

@@ -6,12 +6,7 @@ from repro import SEGM, SyntheticSpec, SyntheticWorkload, TechniqueRunner
 from repro import ultrastar_36z15_config
 from repro.host.streams import ReplayDriver
 from repro.host.system import System
-from repro.obs.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    default_latency_buckets_ms,
-)
+from repro.obs.metrics import LATENCY_BUCKETS_MS, Histogram, nearest_rank
 from repro.obs.timeline import drive_time_in_state, spans_time_in_state
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -31,64 +26,65 @@ def small_workload():
 
 class TestHistogram:
     def test_observe_and_counts(self):
-        h = Histogram([1.0, 10.0, 100.0])
-        for v in (0.5, 5.0, 50.0, 500.0):
+        h = Histogram()
+        # 0.005 under the first bound, one sample on a bound (bisect_left
+        # files it in the bucket it closes), one mid-ladder, one overflow.
+        for v in (0.005, 0.01, 3.0, 1e6):
             h.observe(v)
-        assert h.counts == [1, 1, 1, 1]
-        assert h.count == 4
-        assert h.sum == 555.5
-        assert h.min == 0.5 and h.max == 500.0
+        assert len(h.counts) == len(LATENCY_BUCKETS_MS) + 1
+        assert h.counts[0] == 2
+        assert h.counts[LATENCY_BUCKETS_MS.index(5.0)] == 1
+        assert h.counts[-1] == 1
+        assert sum(h.counts) == h.count == 4
+        assert h.sum == 0.005 + 0.01 + 3.0 + 1e6
+        assert h.min == 0.005 and h.max == 1e6
+
+    def test_ladder_is_one_two_and_a_half_five(self):
+        assert LATENCY_BUCKETS_MS[:4] == (0.01, 0.025, 0.05, 0.1)
+        assert LATENCY_BUCKETS_MS[-1] == 500_000.0
+        assert len(LATENCY_BUCKETS_MS) == 24
+        assert list(LATENCY_BUCKETS_MS) == sorted(set(LATENCY_BUCKETS_MS))
 
     def test_percentile_bracketed_by_buckets(self):
-        h = Histogram(default_latency_buckets_ms())
-        samples = [float(i) for i in range(1, 101)]
-        h.observe_many(samples)
+        h = Histogram()
+        for i in range(1, 101):
+            h.observe(float(i))
         # p50 of 1..100 is 50; the containing bucket is (25, 50].
         assert 25.0 <= h.percentile(50) <= 50.0
         assert h.percentile(50) <= h.percentile(95) <= h.percentile(99)
         assert h.percentile(100) <= h.max
 
+    def test_interpolates_inside_one_bucket(self):
+        # Four samples in the (10, 25] bucket: rank r of 4 sits r/4 of
+        # the way from min to max.
+        h = Histogram()
+        for v in (12.0, 14.0, 20.0, 24.0):
+            h.observe(v)
+        assert h.percentile(25) == pytest.approx(12.0 + 12.0 * 0.25)
+        assert h.percentile(50) == pytest.approx(12.0 + 12.0 * 0.5)
+        assert h.percentile(100) == pytest.approx(24.0)
+
     def test_overflow_bucket_reports_max(self):
-        h = Histogram([1.0])
-        h.observe(7.0)
-        h.observe(9.0)
-        assert h.percentile(99) == 9.0
+        h = Histogram()
+        h.observe(2e5)
+        h.observe(3e5)
+        assert h.percentile(99) == 3e5
 
     def test_empty(self):
-        h = Histogram([1.0])
+        h = Histogram()
         assert h.percentile(50) == 0.0
         assert h.mean == 0.0
 
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram([])
-        with pytest.raises(ValueError):
-            Histogram([1.0, 1.0])
-        with pytest.raises(ValueError):
-            Histogram([2.0, 1.0])
-
     def test_bad_percentile_rejected(self):
-        h = Histogram([1.0])
+        h = Histogram()
         with pytest.raises(ValueError):
             h.percentile(0)
         with pytest.raises(ValueError):
             h.percentile(101)
 
-    def test_merge(self):
-        a = Histogram([1.0, 10.0])
-        b = Histogram([1.0, 10.0])
-        a.observe(0.5)
-        b.observe(5.0)
-        m = a.merge(b)
-        assert m.count == 2
-        assert m.counts == [1, 1, 0]
-        assert m.min == 0.5 and m.max == 5.0
-        with pytest.raises(ValueError):
-            a.merge(Histogram([1.0]))
-
     def test_equality(self):
-        a = Histogram([1.0, 10.0])
-        b = Histogram([1.0, 10.0])
+        a = Histogram()
+        b = Histogram()
         assert a == b
         a.observe(2.0)
         assert a != b
@@ -96,36 +92,13 @@ class TestHistogram:
         assert a == b
 
 
-class TestRegistry:
-    def test_counter_and_histogram_get_or_create(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits")
-        c.inc()
-        assert reg.counter("hits") is c
-        h = reg.histogram("lat")
-        assert reg.histogram("lat") is h
-        assert "hits" in reg and len(reg) == 2
-
-    def test_kind_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.histogram("x")
-
-    def test_counter_merge(self):
-        a = Counter("n")
-        b = Counter("n")
-        a.inc(3)
-        b.inc(4)
-        assert a.merge(b).value == 7
-
-    def test_to_dict_and_text(self):
-        reg = MetricsRegistry()
-        reg.counter("n").inc(2)
-        reg.histogram("lat").observe(1.0)
-        d = reg.to_dict()
-        assert d["n"] == 2 and d["lat"]["count"] == 1
-        assert "n: 2" in reg.to_text()
+def test_nearest_rank():
+    ordered = [1.0, 2.0, 3.0, 4.0]
+    assert nearest_rank(ordered, 50) == 2.0
+    assert nearest_rank(ordered, 100) == 4.0
+    assert nearest_rank(ordered, 1) == 1.0  # rank floors at 1
+    assert nearest_rank([7.0], 99) == 7.0
+    assert nearest_rank([], 50) == 0.0
 
 
 class TestTracer:

@@ -10,8 +10,8 @@ from repro.perfkit.attribute import (
     COMPONENTS,
     attribute_shift,
     phase_attribution_table,
+    components_ms,
     phase_media_breakdown,
-    summarize_run,
 )
 
 
@@ -50,43 +50,43 @@ def fake_result(
 
 
 def test_summary_has_every_component():
-    summary = summarize_run(fake_result(), "base")
-    assert set(summary.components_ms) == set(COMPONENTS)
+    assert set(components_ms(fake_result())) == set(COMPONENTS)
 
 
 def test_media_components_are_per_record():
-    summary = summarize_run(fake_result(records=100, seek=100.0), "base")
-    assert summary.components_ms["seek"] == pytest.approx(1.0)
-    assert summary.components_ms["rotation"] == pytest.approx(1.5)
+    components = components_ms(fake_result(records=100, seek=100.0))
+    assert components["seek"] == pytest.approx(1.0)
+    assert components["rotation"] == pytest.approx(1.5)
 
 
 def test_queue_is_signed_residual():
     # media work = 5.0 ms/record; latency 7.0 -> +2.0 queueing
-    summary = summarize_run(fake_result(mean_latency_ms=7.0), "base")
-    assert summary.components_ms["queue"] == pytest.approx(2.0)
+    components = components_ms(fake_result(mean_latency_ms=7.0))
+    assert components["queue"] == pytest.approx(2.0)
     # latency 3.0 < media work: overlap across disks, negative residual
-    overlapped = summarize_run(fake_result(mean_latency_ms=3.0), "base")
-    assert overlapped.components_ms["queue"] == pytest.approx(-2.0)
+    overlapped = components_ms(fake_result(mean_latency_ms=3.0))
+    assert overlapped["queue"] == pytest.approx(-2.0)
 
 
 def test_cache_credit_is_negative_ms():
     # 200 hits over 100 records at busy 500ms / 400 media blocks
-    summary = summarize_run(fake_result(block_hits=200), "base")
-    assert summary.components_ms["cache"] == pytest.approx(-2 * 500.0 / 400)
-    no_hits = summarize_run(fake_result(block_hits=0), "base")
-    assert no_hits.components_ms["cache"] == 0.0
+    components = components_ms(fake_result(block_hits=200))
+    assert components["cache"] == pytest.approx(-2 * 500.0 / 400)
+    no_hits = components_ms(fake_result(block_hits=0))
+    assert no_hits["cache"] == 0.0
 
 
 def test_zero_record_run_does_not_divide_by_zero():
-    summary = summarize_run(fake_result(records=0), "empty")
-    assert summary.records == 1  # floored, components defined
+    # floored to one record: every component defined, media per record
+    # equals the run's totals
+    components = components_ms(fake_result(records=0, seek=100.0))
+    assert set(components) == set(COMPONENTS)
+    assert components["seek"] == pytest.approx(100.0)
 
 
 def test_ranking_orders_by_absolute_delta():
-    base = summarize_run(fake_result(), "base")
-    new = summarize_run(
-        fake_result(seek=300.0, mean_latency_ms=7.0), "new"
-    )
+    base = fake_result()
+    new = fake_result(seek=300.0, mean_latency_ms=7.0)
     report = attribute_shift(base, new)
     assert report.ranking[0].component in ("seek", "queue")
     deltas = [abs(a.delta_ms) for a in report.ranking]
@@ -95,9 +95,7 @@ def test_ranking_orders_by_absolute_delta():
 
 
 def test_identical_runs_rank_deterministically():
-    base = summarize_run(fake_result(), "a")
-    new = summarize_run(fake_result(), "b")
-    report = attribute_shift(base, new)
+    report = attribute_shift(fake_result(), fake_result(), "a", "b")
     # all-zero deltas: ties break in canonical component order
     assert [a.component for a in report.ranking] == list(COMPONENTS)
     assert all(a.share == 0.0 for a in report.ranking)
@@ -105,12 +103,17 @@ def test_identical_runs_rank_deterministically():
 
 
 def test_report_text_names_top_component():
-    base = summarize_run(fake_result(), "Segm")
-    new = summarize_run(fake_result(seek=400.0, mean_latency_ms=8.0), "FOR")
-    text = attribute_shift(base, new).to_text()
+    base = fake_result()
+    new = fake_result(seek=400.0, mean_latency_ms=8.0, throughput_mb_s=8.0)
+    report = attribute_shift(base, new, "Segm", "FOR")
+    text = report.to_text()
     assert "FOR vs Segm" in text
     assert "slower" in text
     assert "seek" in text
+    # headline and context read the runs themselves
+    assert report.latency_delta_ms == pytest.approx(3.0)
+    assert report.throughput_delta_mb_s == pytest.approx(-2.0)
+    assert "throughput 10.00 -> 8.00 MB/s" in text
 
 
 # -- per-phase media binning ------------------------------------------

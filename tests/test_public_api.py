@@ -45,10 +45,37 @@ def test_all_has_no_duplicates():
         "repro.obs",
         "repro.experiments",
         "repro.perfkit",
+        "repro.service",
     ],
 )
 def test_every_subpackage_imports(module):
     assert importlib.import_module(module)
+
+
+def test_histogram_is_the_only_metric_type():
+    """One metric shape: no counter/registry types, no copied run
+    summary, and ``nearest_rank`` as the one exact percentile."""
+    import repro.obs
+    import repro.perfkit
+    import repro.service
+
+    removed = {
+        "Counter",
+        "MetricsRegistry",
+        "default_latency_buckets_ms",
+        "default_size_buckets_blocks",
+        "RunSummary",
+        "summarize_run",
+        "ServiceMetrics",
+    }
+    for module in (repro, repro.obs, repro.perfkit, repro.service):
+        assert not removed & set(module.__all__), module.__name__
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert {"Histogram", "LATENCY_BUCKETS_MS", "nearest_rank"} <= set(
+        repro.obs.__all__
+    )
+    assert "components_ms" in repro.perfkit.__all__
 
 
 def test_quickstart_from_module_docstring_runs():

@@ -115,6 +115,23 @@ class TestEngineSemantics:
         assert stats["tenants"]["a"]["completed"] == 1
         assert stats["tenants"]["a"]["latency_ms"]["p50"] > 0
 
+    def test_shutdown_summary_prints_the_stats_numbers(self):
+        service = offline_service(
+            default_policy=QoSPolicy(max_inflight=1, max_queue=0)
+        )
+        conn = StubConn()
+        for i in range(3):
+            service.handle_request(conn, Request("READ", "a", i, i * 8, 8))
+        service.sim.run()
+        service.handle_request(conn, Request("STATS", "a", 9))
+        stats = conn.responses[-1].data["tenants"]["a"]
+        assert (stats["completed"], stats["shed"]) == (1, 2)
+        (line,) = service.summary_text().splitlines()
+        assert line.startswith("a: admitted=")
+        assert "completed=1 " in line and "shed=2 " in line
+        assert f"latency_ms.p99={stats['latency_ms']['p99']:.3f}" in line
+        assert f"queue_ms.max={stats['queue_ms']['max']:.3f}" in line
+
     def test_pin_untimed_and_counted(self):
         service = offline_service()
         conn = StubConn()
@@ -293,6 +310,38 @@ class TestLiveService:
         assert hog["busy"] > 0
         assert hog["ok"] > 0
         assert hog["errors"] == 0
+
+    def test_stats_counts_match_client_replies(self):
+        """STATS ``shed`` and ``completed`` (one counter each, on the
+        tenant queue) agree with what the client saw: every BUSY reply
+        is one shed, every OK reply plus the PIN is one completion."""
+
+        async def scenario(service, host, port):
+            return await run_load(
+                host, port,
+                ["alice", "bob"],
+                requests=40,
+                blocks=8,
+                write_frac=0.25,
+                window=32,
+                seed=5,
+                pin_blocks=8,
+                retries=2,
+            )
+
+        result = self.serve(
+            scenario,
+            accel=100.0,
+            raid="raid1",
+            default_policy=QoSPolicy(max_inflight=2, max_queue=4),
+        )
+        assert result["total_busy"] > 0
+        server = result["server"]["tenants"]
+        for name, tenant in result["tenants"].items():
+            assert tenant["pinned"] == 8
+            assert server[name]["shed"] == tenant["busy"]
+            assert server[name]["completed"] == tenant["ok"] + 1
+            assert "errors" not in server[name]
 
     def test_engine_thread_stopped_after_context_exit(self):
         async def scenario(service, host, port):
